@@ -42,6 +42,11 @@ DEFAULT_HOT_MODULES: tuple[str, ...] = (
     "parallel/threads.py",
     "core/greedy.py",
     "core/bubble.py",
+    # Equation (2): the batched loss kernel, the merge state it reads,
+    # and RC's per-merge neighbour scan.
+    "core/loss.py",
+    "core/segmentation.py",
+    "core/rc.py",
     "parallel/counter.py",
     "parallel/pool.py",
     "serve/cache.py",

@@ -10,27 +10,38 @@ segments.
 Complexity (paper, Section 5.2): ``O(P² m²)`` to seed plus
 ``O(P (m² + log P))`` per iteration → ``O(P² m² + P² log P)`` overall;
 our sort-based loss evaluator turns each ``m²`` into ``m log m`` without
-changing any merge decision (see :mod:`repro.core.loss`). The heap uses
-lazy deletion: entries referring to retired segment handles are
-discarded on pop, which implements Step 5 of Figure 2 ("remove all pairs
-involving S_i or S_j") without an indexed queue.
+changing any merge decision (see :mod:`repro.core.loss`), and each
+segment is scored against all survivors in one batched kernel pass.
+
+The priority queue is a loss matrix indexed by creation order plus a
+cached per-row minimum. Row ``i`` holds the losses of segment ``i``
+against every *newer* live segment, so a pair appears once, as
+``(older, newer)``. The row minimum is the first ``argmin`` (the lowest
+newer index among equal losses) and the pick is the first ``argmin``
+over row minima, so merges pop in exactly the lexicographic
+``(loss, older handle, newer handle)`` order of a heap of such triples.
+Step 5 of Figure 2 ("remove all pairs involving S_i or S_j") retires
+the two rows and columns; only rows whose cached minimum pointed at a
+retired column are rescanned.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import combinations
+import numpy as np
 
 from ..obs.metrics import get_registry
 from .segmentation import MergeState, Segmenter
 
 __all__ = ["GreedySegmenter"]
 
+#: Loss of a retired or absent pair; above any real Equation (2) loss.
+_NO_PAIR = np.iinfo(np.int64).max
+
 
 class GreedySegmenter(Segmenter):
     """Merge the globally cheapest pair until ``n_user`` segments remain.
 
-    Deterministic: ties on loss are broken by (older, older) segment
+    Deterministic: ties on loss are broken by (older, newer) segment
     handles, matching a stable priority queue.
     """
 
@@ -38,25 +49,47 @@ class GreedySegmenter(Segmenter):
 
     def _reduce(self, state: MergeState, n_user: int) -> None:
         metrics = get_registry()
-        heap: list[tuple[int, int, int]] = []
-        for a, b in combinations(state.segment_ids(), 2):
-            heap.append((state.loss(a, b), a, b))
-        heapq.heapify(heap)
-        # Hot loop: bind the per-iteration attribute lookups once.
-        heappop, heappush = heapq.heappop, heapq.heappush
-        pair_loss = state.loss
+        # Positions are creation order: the live handles now, then each
+        # merge's new handle (always the largest) appended at the end.
+        start = state.segment_ids()
+        n_live = len(start)
+        capacity = 2 * n_live - 1
+        handles = np.zeros(capacity, dtype=np.int64)
+        handles[:n_live] = start
+        alive = np.zeros(capacity, dtype=bool)
+        alive[:n_live] = True
+        losses = np.full((capacity, capacity), _NO_PAIR, dtype=np.int64)
+        for i in range(n_live - 1):
+            losses[i, i + 1:n_live] = state.losses(
+                int(handles[i]), handles[i + 1:n_live]
+            )
+        row_arg = losses.argmin(axis=1)
+        row_min = losses[np.arange(capacity), row_arg]
+        used = n_live
         while state.n_segments > n_user:
-            loss, a, b = heappop(heap)
-            if not (state.alive(a) and state.alive(b)):
-                if metrics.enabled:
-                    metrics.inc("segmentation.greedy.stale_pops")
-                continue  # stale entry: a participant was merged away
-            merged = state.merge(a, b)
-            pushes = 0
-            for other in state.segment_ids():
-                if other != merged:
-                    heappush(heap, (pair_loss(merged, other), other, merged))
-                    pushes += 1
+            i = int(row_min.argmin())
+            j = int(row_arg[i])
+            merged = state.merge(int(handles[i]), int(handles[j]))
+            alive[i] = alive[j] = False
+            row_min[i] = row_min[j] = _NO_PAIR
+            losses[:, i] = _NO_PAIR
+            losses[:, j] = _NO_PAIR
+            live = np.flatnonzero(alive[:used])
+            new = used
+            used += 1
+            handles[new] = merged
+            alive[new] = True
+            column = state.losses(merged, handles[live])
+            losses[live, new] = column
+            # The new column is the newest: it wins a row only strictly.
+            better = column < row_min[live]
+            row_min[live[better]] = column[better]
+            row_arg[live[better]] = new
+            stale = live[(row_arg[live] == i) | (row_arg[live] == j)]
+            if stale.size:
+                rescanned = losses[stale].argmin(axis=1)
+                row_arg[stale] = rescanned
+                row_min[stale] = losses[stale, rescanned]
             if metrics.enabled:
                 metrics.inc("segmentation.greedy.merges")
-                metrics.inc("segmentation.greedy.heap_pushes", pushes)
+                metrics.inc("segmentation.greedy.heap_pushes", len(live))

@@ -14,10 +14,15 @@ Two evaluators are provided:
 
 * :func:`pair_bound_sum_naive` / the ``*_naive`` entry points — the
   paper-literal ``O(m²)`` double loop over item pairs;
-* :func:`pair_bound_sum` — an ``O(m log m)`` sort identity. For a
-  support vector ``u`` sorted ascending, each ``u_(k)`` is the minimum
-  of exactly ``m − 1 − k`` pairs (those pairing it with a larger-ranked
-  item), so ``Σ_{x<y} min(u_x, u_y) = Σ_k u_(k) · (m − 1 − k)``.
+* :func:`pair_bound_sums` / :func:`merge_losses` — an ``O(m log m)``
+  sort identity, applied to whole row matrices at once. For a support
+  vector ``u`` sorted ascending, each ``u_(k)`` is the minimum of
+  exactly ``m − 1 − k`` pairs (those pairing it with a larger-ranked
+  item), so ``Σ_{x<y} min(u_x, u_y) = Σ_k u_(k) · (m − 1 − k)``. Every
+  other fast entry point (:func:`pair_bound_sum`, :func:`merge_loss`,
+  :func:`cumulative_loss`, :func:`pairwise_merge_losses` and the
+  segmenters' :class:`~repro.core.segmentation.MergeState`) goes
+  through these two.
 
 Writing ``f(u) = Σ_{x<y} min(u_x, u_y)``, Equation (2) factorizes as
 ``cumuLoss(S) = f(Σ_{s∈S} s) − Σ_{s∈S} f(s)`` — the merged bound minus
@@ -25,6 +30,11 @@ the separated bounds, summed over pairs. Both evaluators implement the
 same mathematical function; tests assert exact agreement, and every
 algorithmic decision (which pair Greedy merges, which neighbour RC
 picks) is identical under either.
+
+The batched kernel sorts rows in a narrow unsigned dtype
+(:func:`kernel_dtype`: 16 bits while every column sum fits, which bounds
+every merged row) because that sort is the hot loop; the weighted sum
+of the sorted rows is always accumulated exactly in ``int64``.
 
 All functions accept an optional *items* restriction — the bubble-list
 optimization of Section 5.3 — which replaces the ``m²`` pair space by
@@ -38,6 +48,9 @@ from collections.abc import Sequence
 import numpy as np
 
 __all__ = [
+    "kernel_dtype",
+    "pair_bound_sums",
+    "merge_losses",
     "pair_bound_sum",
     "pair_bound_sum_naive",
     "merge_loss",
@@ -57,17 +70,85 @@ def _restrict(u: np.ndarray, items: Sequence[int] | None) -> np.ndarray:
     return u[np.asarray(items, dtype=np.int64)]
 
 
+#: Row dtypes of the batched kernel, narrowest first. Each sums into the
+#: ``int64`` weights without loss; 16-bit rows sort fastest.
+_KERNEL_DTYPES = (np.dtype(np.uint16), np.dtype(np.uint32), np.dtype(np.int64))
+
+
+def kernel_dtype(matrix: np.ndarray) -> np.dtype:
+    """Narrowest row dtype (16 bits or wider) for merging rows of *matrix*.
+
+    A merged segment's entry never exceeds its column's sum over all
+    rows, so the largest column sum bounds every row any merge sequence
+    can produce: rows stored in the returned dtype cannot overflow.
+    Negative entries, or sums past 32 bits, keep ``int64``.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.size == 0:
+        return _KERNEL_DTYPES[0]
+    if int(matrix.min()) < 0:
+        return _KERNEL_DTYPES[-1]
+    largest = int(matrix.sum(axis=0, dtype=np.int64).max())
+    for dtype in _KERNEL_DTYPES[:-1]:
+        if largest <= np.iinfo(dtype).max:
+            return dtype
+    return _KERNEL_DTYPES[-1]
+
+
+def _weights(m: int) -> np.ndarray:
+    return np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
+def _sorted_weighted_sums(rows: np.ndarray) -> np.ndarray:
+    """``f`` of each row of *rows*, sorting *rows* in place."""
+    rows.sort(axis=1)
+    # einsum accumulates in the int64 of the weights — exact, and about
+    # twice as fast as ``@`` on a narrow left operand.
+    return np.einsum("ij,j->i", rows, _weights(rows.shape[1]))
+
+
+def pair_bound_sums(rows: np.ndarray) -> np.ndarray:
+    """``f(row) = Σ_{x<y} min(row_x, row_y)`` for every row, as ``int64``.
+
+    Rows in a :func:`kernel_dtype` are sorted as they are; any other
+    dtype is converted to ``int64`` first.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a 2-D matrix (segments x items)")
+    if rows.shape[1] < 2:
+        return np.zeros(rows.shape[0], dtype=np.int64)
+    if rows.dtype not in _KERNEL_DTYPES:
+        return _sorted_weighted_sums(rows.astype(np.int64))
+    return _sorted_weighted_sums(rows.copy())
+
+
+def merge_losses(
+    rows: np.ndarray,
+    f_values: np.ndarray,
+    anchor: int,
+    others: np.ndarray,
+) -> np.ndarray:
+    """Equation (2) loss of merging row *anchor* with each row in *others*.
+
+    The batched kernel: ``sort(rows[others] + rows[anchor]) · w − f[anchor]
+    − f[others]`` in one pass, where ``f_values`` holds ``f`` of every
+    row of *rows* that is referenced. *rows* must be wide enough to hold
+    each sum (see :func:`kernel_dtype`). Returns ``int64`` losses aligned
+    with *others*.
+    """
+    if rows.shape[1] < 2:
+        return np.zeros(len(others), dtype=np.int64)
+    merged = rows[others]
+    merged += rows[anchor]
+    return _sorted_weighted_sums(merged) - f_values[anchor] - f_values[others]
+
+
 def pair_bound_sum(
     u: np.ndarray, items: Sequence[int] | None = None
 ) -> int:
     """``f(u) = Σ_{x<y} min(u_x, u_y)`` via the O(m log m) sort identity."""
-    u = _restrict(u, items)
-    m = u.shape[0]
-    if m < 2:
-        return 0
-    ascending = np.sort(u)
-    weights = np.arange(m - 1, -1, -1, dtype=np.int64)
-    return int(np.dot(ascending, weights))
+    return int(pair_bound_sums(_restrict(u, items)[None, :])[0])
 
 
 def pair_bound_sum_naive(
@@ -135,8 +216,7 @@ def cumulative_loss(
     if items is not None:
         rows = rows[:, np.asarray(items, dtype=np.int64)]
     merged = pair_bound_sum(rows.sum(axis=0))
-    separated = sum(pair_bound_sum(row) for row in rows)
-    return int(merged - separated)
+    return merged - int(pair_bound_sums(rows).sum())
 
 
 def cumulative_loss_naive(
@@ -167,26 +247,20 @@ def pairwise_merge_losses(
     """Matrix of :func:`merge_loss` for every pair of rows.
 
     Entry ``(i, j)`` is the loss of merging segments ``i`` and ``j``;
-    the diagonal is 0. Used to seed the Greedy priority queue; computed
-    with the sort identity per pair, so ``O(k² · b log b)`` overall for
-    ``k`` segments and ``b`` (bubble-restricted) items.
+    the diagonal is 0. One :func:`merge_losses` pass per row scores it
+    against every later row, so ``O(k² · b log b)`` overall for ``k``
+    segments and ``b`` (bubble-restricted) items.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 2:
         raise ValueError("rows must be a 2-D matrix (segments x items)")
     if items is not None:
         rows = rows[:, np.asarray(items, dtype=np.int64)]
+    rows = np.ascontiguousarray(rows, dtype=kernel_dtype(rows))
+    f_values = pair_bound_sums(rows)
     k = rows.shape[0]
-    f_values = np.array(
-        [pair_bound_sum(row) for row in rows], dtype=np.int64
-    )
     losses = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            loss = (
-                pair_bound_sum(rows[i] + rows[j])
-                - int(f_values[i])
-                - int(f_values[j])
-            )
-            losses[i, j] = losses[j, i] = loss
-    return losses
+    for i in range(k - 1):
+        others = np.arange(i + 1, k)
+        losses[i, i + 1:] = merge_losses(rows, f_values, i, others)
+    return losses + losses.T

@@ -11,7 +11,7 @@ differ only in *which* pair they merge. This module provides:
 * :class:`Segmenter` — the abstract interface;
 * :class:`MergeState` — the shared mutable workspace: live segment
   rows, the page groups behind each segment, cached ``f`` values, and
-  the loss evaluator (optionally restricted to a bubble list).
+  the batched loss kernel (optionally restricted to a bubble list).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..obs.instrument import record_ossm_build
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..obs.trace import trace
-from .loss import pair_bound_sum
+from .loss import kernel_dtype, merge_losses, pair_bound_sums
 from .ossm import OSSM
 
 __all__ = ["SegmentationResult", "Segmenter", "MergeState", "as_page_matrix"]
@@ -85,8 +85,15 @@ class MergeState:
     """Live segments during a run: rows, page groups, and cached ``f``.
 
     Segment handles are integers; merging retires both operands and
-    allocates a fresh handle, so stale priority-queue entries are
-    recognizably dead (the lazy-deletion pattern the Greedy heap needs).
+    allocates a fresh, larger handle, so handle order is creation order
+    (the tie order Greedy and RC rely on).
+
+    Two row stores are kept. :attr:`rows` holds each live segment's full
+    ``int64`` support row, which :meth:`final_matrix` realizes. The loss
+    kernel reads a separate contiguous matrix indexed by handle, holding
+    only the bubble-restricted columns in the narrow dtype
+    :func:`~repro.core.loss.kernel_dtype` picks, so one sort scores a
+    segment against every survivor (:meth:`losses`).
     """
 
     def __init__(
@@ -95,39 +102,50 @@ class MergeState:
         items: Sequence[int] | None = None,
     ) -> None:
         page_matrix = np.asarray(page_matrix, dtype=np.int64)
-        self._items = (
-            np.asarray(items, dtype=np.int64) if items is not None else None
-        )
+        n_pages = page_matrix.shape[0]
         self.rows: dict[int, np.ndarray] = {
-            i: page_matrix[i].copy() for i in range(page_matrix.shape[0])
+            i: page_matrix[i].copy() for i in range(n_pages)
         }
         self.groups: dict[int, list[int]] = {
-            i: [i] for i in range(page_matrix.shape[0])
+            i: [i] for i in range(n_pages)
         }
-        self._next_id = page_matrix.shape[0]
-        self._f: dict[int, int] = {}
+        self._next_id = n_pages
+        restricted = (
+            page_matrix
+            if items is None
+            else page_matrix[:, np.asarray(items, dtype=np.int64)]
+        )
+        # P pages allow at most P - 1 merges, hence 2P - 1 handles.
+        capacity = max(2 * n_pages - 1, 1)
+        self._kernel_rows = np.zeros(
+            (capacity, restricted.shape[1]), dtype=kernel_dtype(restricted)
+        )
+        self._kernel_rows[:n_pages] = restricted
+        self._f = np.zeros(capacity, dtype=np.int64)
+        self._has_f = np.zeros(capacity, dtype=bool)
         self.loss_evaluations = 0
 
     # -- loss ------------------------------------------------------------
 
-    def _restricted(self, row: np.ndarray) -> np.ndarray:
-        return row if self._items is None else row[self._items]
+    def _ensure_f(self, segs: np.ndarray) -> None:
+        missing = segs[~self._has_f[segs]]
+        if missing.size:
+            self._f[missing] = pair_bound_sums(self._kernel_rows[missing])
+            self._has_f[missing] = True
 
-    def f_value(self, seg: int) -> int:
-        """Cached ``f(row)`` (sum of pair minima) for a live segment."""
-        value = self._f.get(seg)
-        if value is None:
-            value = pair_bound_sum(self._restricted(self.rows[seg]))
-            self._f[seg] = value
-        return value
+    def losses(self, anchor: int, others: np.ndarray) -> np.ndarray:
+        """Equation (2) losses of merging *anchor* with each of *others*.
+
+        One batched kernel pass; counts ``len(others)`` evaluations.
+        """
+        others = np.asarray(others, dtype=np.int64)
+        self.loss_evaluations += len(others)
+        self._ensure_f(np.append(others, anchor))
+        return merge_losses(self._kernel_rows, self._f, anchor, others)
 
     def loss(self, a: int, b: int) -> int:
         """Equation (2) loss of merging live segments *a* and *b*."""
-        self.loss_evaluations += 1
-        merged = pair_bound_sum(
-            self._restricted(self.rows[a]) + self._restricted(self.rows[b])
-        )
-        return merged - self.f_value(a) - self.f_value(b)
+        return int(self.losses(a, np.array([b]))[0])
 
     # -- merging -----------------------------------------------------------
 
@@ -142,7 +160,8 @@ class MergeState:
         for old in (a, b):
             del self.rows[old]
             del self.groups[old]
-            self._f.pop(old, None)
+        kernel_rows = self._kernel_rows
+        np.add(kernel_rows[a], kernel_rows[b], out=kernel_rows[new])
         return new
 
     def alive(self, seg: int) -> bool:

@@ -11,6 +11,7 @@ granularity: contiguous fixed-size runs of transactions plus the
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -117,13 +118,25 @@ class PagedDatabase:
         matrix is computed once and cached.
         """
         if self._supports is None:
-            supports = np.zeros((self.n_pages, self.n_items), dtype=np.int64)
-            for page in range(self.n_pages):
-                lo, hi = self.page_bounds(page)
-                for tid in range(lo, hi):
-                    txn = self._db[tid]
-                    supports[page, list(txn)] += 1
-            self._supports = supports
+            txns = self._db.transactions
+            lengths = np.fromiter(
+                (len(txn) for txn in txns), dtype=np.int64, count=len(txns)
+            )
+            items = np.fromiter(
+                chain.from_iterable(txns),
+                dtype=np.int64,
+                count=int(lengths.sum()),
+            )
+            # Transactions hold unique items, so one bincount over
+            # ``page * m + item`` counts each (page, item) cell exactly.
+            pages = np.repeat(
+                np.arange(len(txns), dtype=np.int64) // self._page_size,
+                lengths,
+            )
+            cells = self.n_pages * self.n_items
+            self._supports = np.bincount(
+                pages * self.n_items + items, minlength=cells
+            ).reshape(self.n_pages, self.n_items)
         return self._supports
 
     def item_supports(self) -> np.ndarray:

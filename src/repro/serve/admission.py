@@ -10,7 +10,7 @@ things the service deliberately does not:
   the bucket's exact refill time as the ``Retry-After`` hint;
 * **coalescing across requests** — admitted itemsets from concurrent
   requests are gathered for a short linger window (default 2 ms) and
-  flushed to ``service.query_batch`` as one batch, so a hundred
+  flushed to ``service.query_batch_with_epoch`` as one batch, so a hundred
   single-itemset HTTP requests cost one cache walk and one engine
   fan-out instead of a hundred. The service's own same-key coalescing
   and epoch-tagged cache then apply to the merged batch unchanged.
@@ -46,7 +46,7 @@ class _Pending:
     def __init__(
         self,
         itemsets: list[Iterable[int]],
-        future: "asyncio.Future[list[int]]",
+        future: "asyncio.Future[tuple[list[int], int]]",
     ) -> None:
         self.itemsets = itemsets
         self.future = future
@@ -105,7 +105,19 @@ class BatchScheduler:
     async def submit(
         self, itemsets: Sequence[Iterable[int]]
     ) -> list[int]:
+        """Bounds for *itemsets*; see :meth:`submit_with_epoch`."""
+        bounds, _ = await self.submit_with_epoch(itemsets)
+        return bounds
+
+    async def submit_with_epoch(
+        self, itemsets: Sequence[Iterable[int]]
+    ) -> tuple[list[int], int]:
         """Bounds for *itemsets*, admission-controlled and coalesced.
+
+        Also returns the epoch of the map that evaluated the merged
+        batch this request rode in — which, when a publish lands inside
+        the linger window, is the new map's, not the one served at
+        submission.
 
         Raises :class:`QuotaExceeded` when the tenant's bucket cannot
         fund ``len(itemsets)`` queries right now (nothing is debited),
@@ -132,8 +144,8 @@ class BatchScheduler:
                 f"serve.tenant.{self.tenant}.queries", len(materialized)
             )
         if not materialized:
-            return []
-        future: asyncio.Future[list[int]] = (
+            return [], self.service.epoch
+        future: asyncio.Future[tuple[list[int], int]] = (
             asyncio.get_running_loop().create_future()
         )
         self._queue.append(_Pending(materialized, future))
@@ -169,7 +181,7 @@ class BatchScheduler:
         self._batches += 1
         self._flushed_queries += len(merged)
         try:
-            bounds = await self.service.query_batch(merged)
+            bounds, epoch = await self.service.query_batch_with_epoch(merged)
         except BaseException as exc:
             for pending in batch:
                 if not pending.future.done():
@@ -181,7 +193,9 @@ class BatchScheduler:
         for pending in batch:
             span = len(pending.itemsets)
             if not pending.future.done():
-                pending.future.set_result(bounds[offset:offset + span])
+                pending.future.set_result(
+                    (bounds[offset:offset + span], epoch)
+                )
             offset += span
 
     # -- introspection ---------------------------------------------------

@@ -490,13 +490,12 @@ class Gateway:
     async def _handle_bounds(self, name: str, body: bytes) -> _Response:
         """POST /v1/tenants/{t}/bounds — single or batched Equation (1)."""
         tenant = self.tenants.get(name)
-        # Captured before the query: a publish landing mid-flight must
-        # not mislabel bounds computed against the admitted map.
-        epoch = tenant.epoch
         itemsets, single = _parse_itemsets(
             body, tenant.service.ossm.n_items
         )
-        bounds = await tenant.query_batch(itemsets)
+        # The label is the epoch of the map that computed the bounds: a
+        # publish landing in the admission linger window moves both.
+        bounds, epoch = await tenant.scheduler.submit_with_epoch(itemsets)
         payload: dict[str, Any] = {
             "tenant": name,
             "epoch": epoch,

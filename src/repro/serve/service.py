@@ -278,6 +278,26 @@ class BoundQueryService:
     ) -> list[int]:
         """Bounds for *itemsets*, aligned with the input order.
 
+        See :meth:`query_batch_with_epoch`, which also reports the epoch
+        of the map that answered.
+        """
+        bounds, _ = await self.query_batch_with_epoch(
+            itemsets, timeout=timeout
+        )
+        return bounds
+
+    async def query_batch_with_epoch(
+        self,
+        itemsets: Sequence[Iterable[int]],
+        *,
+        timeout: Any = _UNSET,
+    ) -> tuple[list[int], int]:
+        """Bounds for *itemsets* and the epoch of the map that gave them.
+
+        Every bound of one call comes from the same map: the one served
+        when the call entered the service. The returned epoch is that
+        map's, even if a publish lands while the batch is evaluated.
+
         Cache hits are answered immediately; misses coalesce with any
         identical in-flight query and the remainder is evaluated as one
         batch. Raises :class:`Overloaded` when the miss set would
@@ -320,7 +340,7 @@ class BoundQueryService:
         itemsets: Sequence[Iterable[int]],
         *,
         timeout: Any = _UNSET,
-    ) -> list[int]:
+    ) -> tuple[list[int], int]:
         wait_for = self.timeout if timeout is _UNSET else timeout
         ossm = self._ossm
         inflight = self._inflight
@@ -394,7 +414,11 @@ class BoundQueryService:
                 results[index] = value
         if metrics.enabled:
             self._flush_cache_metrics(metrics)
-        return [results[index] for index in range(len(itemsets))]
+        # Cache hits, coalesced futures and the fresh batch all belong to
+        # ``ossm``: an update swaps the cache epoch and the in-flight
+        # table together with the map, never inside this synchronous
+        # prefix.
+        return [results[index] for index in range(len(itemsets))], ossm.epoch
 
     async def _run_batch(
         self,

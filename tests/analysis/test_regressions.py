@@ -8,7 +8,7 @@ rule and the runtime stay in agreement:
 * hash tree: ``_leaves_by_id`` is initialised eagerly (the old
   ``getattr(self, "_leaves_by_id", {})`` default silently returned no
   leaves for trees built before the attribute existed);
-* OSSM pair bounds: the pdist fast path stays in integer arithmetic
+* OSSM pair bounds: the pair fast path stays in integer arithmetic
   and agrees exactly with the generic Equation (1) evaluation;
 * chained constraint pruner: ``candidate_bounds`` delegates to the
   wrapped support pruner instead of inheriting the protocol's ``None``
@@ -76,6 +76,21 @@ class TestPairBoundIntegerPath:
 
         assert np.issubdtype(fast.dtype, np.integer)
         assert np.array_equal(fast, generic)
+
+    def test_chunks_cover_every_pair(self):
+        # 2**17 cells a chunk over 20,000 segments: 6 pairs a chunk, so
+        # the 15 pairs below span three chunks, the last one short.
+        rng = np.random.default_rng(6)
+        matrix = rng.integers(0, 9, size=(20_000, 6)).astype(np.int64)
+        ossm = OSSM(matrix)
+        pairs = np.array(list(combinations(range(6), 2)), dtype=np.int64)
+        generic = matrix[:, pairs].min(axis=2).sum(axis=0)
+        assert np.array_equal(ossm._pair_bounds(pairs), generic)
+
+    def test_supports_past_int32_stay_exact(self):
+        matrix = np.array([[2**40, 2**40 + 1], [3, 2]], dtype=np.int64)
+        bounds = OSSM(matrix).upper_bounds([(0, 1)])
+        assert bounds.tolist() == [2**40 + 2]
 
     def test_odd_supports_do_not_round(self):
         # p=3, q=2 in one segment: min is 2; (3+2-1)//2 == 2 exactly,

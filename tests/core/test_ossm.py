@@ -109,7 +109,7 @@ class TestBound:
             OSSM(example1_matrix).upper_bounds([(0,), (0, 1)])
 
     def test_pair_fast_path_matches_scalar(self):
-        """The scipy cityblock fast path must equal the direct min-sum."""
+        """The integer gather-min fast path must equal the direct min-sum."""
         rng = np.random.default_rng(3)
         matrix = rng.integers(0, 40, (7, 30)).astype(np.int64)
         ossm = OSSM(matrix)
@@ -118,7 +118,7 @@ class TestBound:
         assert batch.tolist() == [ossm.upper_bound(p) for p in pairs]
 
     def test_pair_wide_domain_fallback(self):
-        """Beyond the 4096-unique-item guard, the generic path runs."""
+        """A 5000-item domain takes the same fast path, exactly."""
         rng = np.random.default_rng(4)
         matrix = rng.integers(0, 5, (3, 5000)).astype(np.int64)
         ossm = OSSM(matrix)

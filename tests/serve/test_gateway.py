@@ -310,6 +310,52 @@ class TestEpochBumpDuringBatch:
         with use_faults(plan):
             run(main())
 
+    def test_publish_inside_linger_window_labels_new_epoch(
+        self, ossm, db, tmp_path
+    ):
+        """A PUT landing while a request waits in the admission linger
+        window: the request is evaluated against the new map, so its
+        label must be the new epoch, not the one served on arrival."""
+        extra = generate_quest(
+            n_transactions=100, n_items=N_ITEMS,
+            avg_transaction_len=6.0, n_patterns=50, seed=99,
+        )
+        grown = extend_ossm(ossm, extra, page_size=40)
+        grown_path = tmp_path / "grown.npz"
+        OSSM(grown.matrix, segment_sizes=grown.segment_sizes).save(
+            grown_path
+        )
+        batch = [[i % N_ITEMS, (i + 5) % N_ITEMS] for i in range(12)]
+        expected = [grown.upper_bound(tuple(s)) for s in batch]
+        assert expected != [ossm.upper_bound(tuple(s)) for s in batch]
+
+        async def main():
+            registry = TenantRegistry(linger=0.4)
+            async with Gateway(registry) as gateway:
+                registry.create("acme", ossm)
+                waiting = asyncio.create_task(
+                    post_json(
+                        gateway, "/v1/tenants/acme/bounds",
+                        {"itemsets": batch},
+                    )
+                )
+                await asyncio.sleep(0.15)  # parked in the linger window
+                assert registry.get("acme").scheduler.queued == 1
+                status, _, body = await http(
+                    gateway, "PUT", "/v1/tenants/acme/ossm",
+                    grown_path.read_bytes(),
+                )
+                assert status == 200
+                assert json.loads(body)["epoch"] == 1
+                status, _, body = await waiting
+                assert status == 200
+                payload = json.loads(body)
+                assert payload["bounds"] == expected
+                assert payload["epoch"] == 1
+            await registry.aclose()
+
+        run(main())
+
 
 class TestStatsAndOps:
     def test_tenant_stats_route(self, ossm, artifact):
